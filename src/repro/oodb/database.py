@@ -1231,6 +1231,12 @@ class Snapshot:
     query candidate collection is read at query time (read-committed),
     so an object created after the snapshot began appears in the
     candidate set but resolves to "did not exist" and is skipped.
+    Index candidates likewise reflect *current*, possibly uncommitted,
+    values (indexes move when an attribute is assigned, before commit).
+    Queries re-check every index-served comparison against the snapshot
+    copy, so no row outside the filter is returned, but a row whose
+    current value left the filter is no longer a candidate.  This is
+    also why ``count()`` is never index-only inside a snapshot.
     """
 
     __slots__ = ("_db", "ts", "_cache", "_serializer", "_closed")
@@ -1252,7 +1258,7 @@ class Snapshot:
         db = self._db
         hit, pre = db.versions.resolve(oid, self.ts)
         if hit:
-            return pre
+            return _with_oid(pre, oid)
         try:
             stored = db._stored_record(oid)
         except OODBError:
@@ -1260,13 +1266,13 @@ class Snapshot:
             # publish-before-apply guarantees the pre-image is visible now.
             hit, pre = db.versions.resolve(oid, self.ts)
             if hit:
-                return pre
+                return _with_oid(pre, oid)
             raise
         hit, pre = db.versions.resolve(oid, self.ts)
         if hit:
             # A commit overwrote the object mid-read; its pre-image is
             # the state as of this snapshot.
-            return pre
+            return _with_oid(pre, oid)
         return stored
 
     def fetch(self, oid: Oid) -> Persistent:
@@ -1300,6 +1306,15 @@ class Snapshot:
             self._cache.pop(oid, None)
             raise
         return obj
+
+
+def _with_oid(pre: dict[str, Any] | None, oid: Oid) -> dict[str, Any] | None:
+    """A commit pre-image as a full record.  Undo images are kept without
+    their ``oid`` (:meth:`Database._current_record`); readers get it back
+    on a copy, so the shared pre-image is never mutated."""
+    if pre is None:
+        return None
+    return {"oid": oid.value, **pre}
 
 
 def _plain_attrs(obj: Persistent) -> dict[str, Any]:

@@ -122,10 +122,14 @@ class BTree:
         Node-granular: sums value-list lengths per visited node instead of
         yielding entries one by one, so it is an order of magnitude
         cheaper than ``sum(1 for _ in range(...))`` — this is what makes
-        index-only ``count()`` pay off.
+        index-only ``count()`` pay off.  An empty range (``low > high``)
+        counts 0.
         """
-        if low is not None and low == high:
-            return self.count_key(low) if inclusive == (True, True) else 0
+        if low is not None and high is not None:
+            if high < low:
+                return 0
+            if low == high:
+                return self.count_key(low) if inclusive == (True, True) else 0
         total = self._count_range(self._root, low, high)
         if not inclusive[0] and low is not None:
             total -= self.count_key(low)

@@ -12,6 +12,11 @@ predicates, and sorts/limits the result.  Execution is planned per run:
   other selective ones are intersected as OID sets, with the rest applied
   as residual filters.  Hash indexes are equality-only: range filters and
   ``order_by`` never use them,
+* the range filters on one B-tree-indexed attribute fold into a single
+  choice: the tightest lower bound (``>``/``>=``) and the tightest upper
+  bound (``<``/``<=``) become one bounded walk ``low .. high``, costed by
+  ``estimate_range_count(low, high)``; a single bound is the case with
+  one open end,
 * ``order_by`` on an indexed attribute streams from the B-tree in key
   order instead of sorting, so ``limit(k)`` stops after ~k fetches,
 * ``count()`` and ``exists()`` are answered from the index alone when no
@@ -125,7 +130,13 @@ def _probe_cost(state: "_IndexState") -> float:
 
 @dataclass(frozen=True, slots=True)
 class IndexChoice:
-    """One filter the planner decided to serve from an index."""
+    """One index access the planner chose: an equality probe or a range.
+
+    ``op``/``value`` is the filter served (for a range, its lower bound
+    when it has one).  A two-sided range — a lower and an upper bound on
+    the same B-tree attribute, folded into one walk — carries its upper
+    bound in ``high_op``/``high``.
+    """
 
     attribute: str
     op: str
@@ -134,13 +145,38 @@ class IndexChoice:
     estimated_rows: int
     kind: str = "btree"
     cost: float = 0.0
+    high_op: str | None = None
+    high: Any = None
+
+    @property
+    def comparisons(self) -> tuple[tuple[str, Any], ...]:
+        """The ``(op, value)`` comparisons this choice applies."""
+        if self.high_op is None:
+            return ((self.op, self.value),)
+        return ((self.op, self.value), (self.high_op, self.high))
 
     def describe(self) -> str:
+        served = " and ".join(
+            f"{self.attribute} {op} {value!r}" for op, value in self.comparisons
+        )
         return (
-            f"{self.kind}:{self.index_name} "
-            f"({self.attribute} {self.op} {self.value!r}),"
+            f"{self.kind}:{self.index_name} ({served}),"
             f" est ~{self.estimated_rows} rows"
         )
+
+    def to_json(self) -> dict[str, Any]:
+        out: dict[str, Any] = {
+            "attribute": self.attribute,
+            "op": self.op,
+            "value": repr(self.value),
+            "index": self.index_name,
+            "kind": self.kind,
+            "estimated_rows": self.estimated_rows,
+        }
+        if self.high_op is not None:
+            out["high_op"] = self.high_op
+            out["high"] = repr(self.high)
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,17 +243,7 @@ class QueryPlan:
             "class_name": self.class_name,
             "include_subclasses": self.include_subclasses,
             "access_path": self.access_path,
-            "index_filters": [
-                {
-                    "attribute": c.attribute,
-                    "op": c.op,
-                    "value": repr(c.value),
-                    "index": c.index_name,
-                    "kind": c.kind,
-                    "estimated_rows": c.estimated_rows,
-                }
-                for c in self.index_filters
-            ],
+            "index_filters": [c.to_json() for c in self.index_filters],
             "residual_filters": [
                 [attribute, op, repr(value)]
                 for attribute, op, value in self.residual_filters
@@ -423,6 +449,9 @@ class Query:
 
         choices: list[IndexChoice] = []
         residual: list[tuple[str, str, Any]] = []
+        # attribute -> (B-tree, tightest lower bound, tightest upper bound);
+        # every range filter on one attribute folds into one bounded walk.
+        ranges: dict[str, tuple["_IndexState", Any, Any]] = {}
         for attribute, op, value in self._attr_filters:
             states = (
                 db.indexes.covering_all(self._class_name, attribute)
@@ -433,17 +462,20 @@ class Query:
                 # Hash indexes are unordered and equality-only; a range
                 # comparison must come from a B-tree or not at all.
                 states = [s for s in states if s.kind == "btree"]
+            if not states:
+                residual.append((attribute, op, value))
+                continue
+            if op != "==":
+                state, lower, upper = ranges.get(attribute, (states[0], None, None))
+                if op in ("<", "<="):
+                    upper = _tighter((op, value), upper)
+                else:
+                    lower = _tighter((op, value), lower)
+                ranges[attribute] = (state, lower, upper)
+                continue
             best: IndexChoice | None = None
             for state in states:
-                tree = state.tree
-                if op == "==":
-                    estimate = tree.count_key(value)
-                else:
-                    assert isinstance(tree, BTree)
-                    if op in ("<", "<="):
-                        estimate = tree.estimate_range_count(None, value)
-                    else:
-                        estimate = tree.estimate_range_count(value, None)
+                estimate = state.tree.count_key(value)
                 cost = estimate + _probe_cost(state)
                 if best is None or cost < best.cost:
                     best = IndexChoice(
@@ -455,10 +487,30 @@ class Query:
                         state.kind,
                         cost,
                     )
-            if best is None:
-                residual.append((attribute, op, value))
-            else:
-                choices.append(best)
+            assert best is not None
+            choices.append(best)
+        for attribute, (state, lower, upper) in ranges.items():
+            tree = state.tree
+            assert isinstance(tree, BTree)
+            estimate = tree.estimate_range_count(
+                None if lower is None else lower[1],
+                None if upper is None else upper[1],
+            )
+            (op, value), *rest = [b for b in (lower, upper) if b is not None]
+            high_op, high = rest[0] if rest else (None, None)
+            choices.append(
+                IndexChoice(
+                    attribute,
+                    op,
+                    value,
+                    state.definition.name,
+                    estimate,
+                    state.kind,
+                    estimate + _probe_cost(state),
+                    high_op,
+                    high,
+                )
+            )
 
         order_satisfied = False
         if choices:
@@ -470,7 +522,10 @@ class Query:
                 if choice.estimated_rows <= cap:
                     secondary.append(choice)
                 else:
-                    residual.append((choice.attribute, choice.op, choice.value))
+                    residual.extend(
+                        (choice.attribute, op, value)
+                        for op, value in choice.comparisons
+                    )
             index_filters = (primary, *secondary)
             if secondary:
                 access_path = "index_intersect"
@@ -754,17 +809,18 @@ class Query:
     def _effective_passes(self, plan: QueryPlan) -> Callable[[Any], bool]:
         """The residual filter, plus index-filter re-checks under snapshots.
 
-        Index lookups match *current* committed values, but a snapshot
-        copy carries the values as of the snapshot watermark — so inside
-        ``with db.snapshot():`` every index-applied comparison is
-        re-applied against the fetched copy.
+        Index lookups match *current* values, but a snapshot copy carries
+        the values as of the snapshot watermark — so inside
+        ``with db.snapshot():`` every index-applied comparison (both ends
+        of a two-sided range) is re-applied against the fetched copy.
         """
         residual = self._residual_passes(plan)
         if not plan.index_filters or self._ambient_snapshot() is None:
             return residual
         checks = [
-            (choice.attribute, _OPS[choice.op], choice.value)
+            (choice.attribute, _OPS[op], value)
             for choice in plan.index_filters
+            for op, value in choice.comparisons
         ]
 
         def passes(obj: Any) -> bool:
@@ -998,10 +1054,29 @@ class Query:
 def _bounds(
     choice: IndexChoice,
 ) -> tuple[Any, Any, tuple[bool, bool]]:
-    """B-tree ``(low, high, inclusive)`` bounds for a range comparison."""
-    if choice.op in ("<", "<="):
-        return None, choice.value, (True, choice.op == "<=")
-    return choice.value, None, (choice.op == ">=", True)
+    """B-tree ``(low, high, inclusive)`` bounds for a range choice; an end
+    with no bound is open (``None``)."""
+    low = high = None
+    low_inclusive = high_inclusive = True
+    for op, value in choice.comparisons:
+        if op in ("<", "<="):
+            high, high_inclusive = value, op == "<="
+        else:
+            low, low_inclusive = value, op == ">="
+    return low, high, (low_inclusive, high_inclusive)
+
+
+def _tighter(
+    bound: tuple[str, Any], current: tuple[str, Any] | None
+) -> tuple[str, Any]:
+    """The stricter of two bounds on the same side of a range; at equal
+    values the exclusive operator (``>`` / ``<``) wins."""
+    if current is None:
+        return bound
+    op, value = bound
+    if value == current[1]:
+        return bound if op in (">", "<") else current
+    return bound if (value < current[1]) == (op in ("<", "<=")) else current
 
 
 def _take(items: Iterator[Any], count: int) -> Iterator[Any]:

@@ -53,6 +53,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..core.runtime import pop_scheduler, push_scheduler
 from ..obs.metrics import metrics
+from ..oodb.codec import jsonable_record
 from ..oodb.errors import ObjectNotFound, OODBError, TransactionAborted
 from ..oodb.oid import Oid
 from .protocol import (
@@ -173,8 +174,12 @@ class RuleServer:
         started = perf_counter()
         parts = urlsplit(handler.path)
         route = f"{method} {parts.path}"
+        body: bytes | None = None
         try:
             status, payload = self._route(handler, method, parts.path, parts.query)
+            # Encoding is part of answering: a value json cannot encode
+            # becomes a counted 500 rather than a dropped connection.
+            body = _encode(payload)
         except ProtocolError as exc:
             status = exc.status
             payload = error_payload(exc.error, exc.detail)
@@ -191,7 +196,8 @@ class RuleServer:
                 status, payload = 400, error_payload("bad_request", repr(exc))
         except Exception as exc:  # noqa: BLE001 - the wire needs an answer
             status, payload = 500, error_payload("server_error", repr(exc))
-        body = (json.dumps(payload) + "\n").encode("utf-8")
+        if body is None:
+            body = _encode(payload)
         handler.send_response(status)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(body)))
@@ -283,7 +289,7 @@ class RuleServer:
             record = snap.record(Oid(number))
         if record is None:
             raise ProtocolError(404, "not_found", f"no object @{number}")
-        return ok_payload(object=record)
+        return ok_payload(object=jsonable_record(record))
 
     def _query(
         self, body: dict[str, Any], count_only: bool
@@ -309,7 +315,9 @@ class RuleServer:
                 q = q.limit(limit)
             objects = q.all()
             records = [snap.record(obj._p_oid) for obj in objects]
-        found = [record for record in records if record is not None]
+        found = [
+            jsonable_record(record) for record in records if record is not None
+        ]
         return ok_payload(count=len(found), objects=found)
 
     # ------------------------------------------------------------------
@@ -394,3 +402,7 @@ class RuleServer:
 
         self.db.run_transaction(txn)
         return ok_payload(oid=number)
+
+
+def _encode(payload: dict[str, Any]) -> bytes:
+    return (json.dumps(payload) + "\n").encode("utf-8")

@@ -83,6 +83,20 @@ analyze:
   residual filter: dropped 0
   time: <masked>"""
 
+GOLDEN_TWO_SIDED_PLAN = """\
+query plan: Emp (subclasses included)
+  access: index_range via btree:Emp.salary (salary >= 1500 and salary < 2000), est ~6 rows
+  index-only count/exists: yes"""
+
+GOLDEN_INDEX_RANGE_TWO_SIDED = GOLDEN_TWO_SIDED_PLAN + """
+analyze:
+  rows: est ~6, scanned 5, returned 5
+  index probes: 1
+  fetch: 5 objects, 0 page pins
+  buffer pool: untouched
+  residual filter: dropped 0
+  time: <masked>"""
+
 GOLDEN_HASH_EQ = """\
 query plan: Emp (subclasses included)
   access: hash_eq via hash:Emp.name (name == 'e05'), est ~1 rows
@@ -158,6 +172,18 @@ class TestGoldenText:
             analyze=True
         )
         assert masked(analyzed) == GOLDEN_INDEX_RANGE
+
+    def test_index_range_two_sided(self, staffed):
+        db, _ = staffed
+        query = (
+            db.query(Emp)
+            .where_op("salary", ">=", 1500)
+            .where_op("salary", "<", 2000)
+        )
+        assert query.explain().describe() == GOLDEN_TWO_SIDED_PLAN
+        assert masked(query.explain(analyze=True)) == (
+            GOLDEN_INDEX_RANGE_TWO_SIDED
+        )
 
     def test_hash_eq(self, staffed):
         db, _ = staffed
@@ -239,6 +265,31 @@ class TestGoldenJson:
                     "total_us"):
             assert isinstance(actual[key], float) and actual[key] >= 0.0
 
+    def test_two_sided_json_carries_both_bounds(self, staffed):
+        db, _ = staffed
+        data = (
+            db.query(Emp)
+            .where_op("salary", "<", 2000)
+            .where_op("salary", ">=", 1500)
+            .explain(analyze=True)
+            .to_json()
+        )
+        assert data["plan"]["index_filters"] == [
+            {
+                "attribute": "salary",
+                "op": ">=",
+                "value": "1500",
+                "index": "Emp.salary",
+                "kind": "btree",
+                "estimated_rows": 6,
+                "high_op": "<",
+                "high": "2000",
+            }
+        ]
+        assert data["plan"]["residual_filters"] == []
+        assert data["actual"]["candidates"] == 5
+        assert data["actual"]["returned"] == 5
+
     def test_misestimate_annotation(self):
         plan = QueryPlan(
             class_name="Emp", include_subclasses=True,
@@ -302,6 +353,26 @@ class TestSemantics:
         # Candidates stop at the fetch chunk containing the limit, not
         # the full extent (mirrors the normal streaming path).
         assert analyzed.stats.candidates <= 20
+
+    def test_mid_domain_two_sided_range_scans_only_matches(self, mem_db):
+        """Regression: a two-sided range walks the index between its two
+        bounds; it never scans from one bound to the end of the domain
+        and drops the rest as residual."""
+        for i in range(10_000):
+            mem_db.add(Emp(f"m{i:05d}", i * 3, "eng", 0))
+        mem_db.commit()
+        mem_db.create_index(Emp, "salary")
+        query = (
+            mem_db.query(Emp)
+            .where_op("salary", ">=", 14_000)
+            .where_op("salary", "<", 16_000)
+        )
+        analyzed = query.explain(analyze=True)
+        matches = sum(1 for i in range(10_000) if 14_000 <= i * 3 < 16_000)
+        assert analyzed.stats.returned == matches
+        assert analyzed.stats.candidates == matches
+        assert analyzed.stats.residual_dropped == 0
+        assert query.count() == matches
 
     def test_on_disk_query_counts_buffer_and_pins(self, tmp_path):
         path = str(tmp_path / "db")

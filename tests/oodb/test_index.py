@@ -137,7 +137,10 @@ class TestBTreeCounting:
     )
     def test_count_range_matches_walk(self, inclusive):
         tree, _entries = self.make_tree()
-        for low, high in [(None, None), (10, 50), (None, 40), (25, None), (30, 30)]:
+        for low, high in [
+            (None, None), (10, 50), (None, 40), (25, None), (30, 30),
+            (50, 10), (31, 30),  # empty: low above high
+        ]:
             walked = sum(1 for _ in tree.range(low, high, inclusive=inclusive))
             assert tree.count_range(low, high, inclusive=inclusive) == walked
 
@@ -146,7 +149,10 @@ class TestBTreeCounting:
     )
     def test_range_values_matches_lazy_range(self, inclusive):
         tree, _entries = self.make_tree()
-        for low, high in [(None, None), (10, 50), (None, 40), (25, None), (30, 30)]:
+        for low, high in [
+            (None, None), (10, 50), (None, 40), (25, None), (30, 30),
+            (50, 10), (31, 30),
+        ]:
             lazy = [v for _k, v in tree.range(low, high, inclusive=inclusive)]
             assert tree.range_values(low, high, inclusive=inclusive) == lazy
 

@@ -1,6 +1,7 @@
 """Tests for the cost-aware query planner and the clustered read path."""
 
 import random
+import threading
 
 import pytest
 
@@ -71,6 +72,13 @@ class TestPlannerEquivalence:
             if rng.random() < 0.7:
                 op = rng.choice(["==", "<", "<=", ">", ">="])
                 filters.append(("salary", op, rng.randrange(30_000, 120_000, 250)))
+                # More bounds on the same attribute: the planner folds
+                # them into one two-sided range (or an empty one).
+                for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+                    op = rng.choice(["<", "<=", ">", ">="])
+                    filters.append(
+                        ("salary", op, rng.randrange(30_000, 120_000, 250))
+                    )
             if rng.random() < 0.7:
                 filters.append(("dept", "==", rng.choice(["eng", "sales", "qa"])))
             if rng.random() < 0.4:
@@ -119,6 +127,208 @@ class TestPlannerEquivalence:
         assert got == sorted(
             (o.salary for o in objects if o.salary >= 90_000), reverse=True
         )
+
+
+def _range_query(db, filters):
+    query = db.query(Emp)
+    for attribute, op, value in filters:
+        query.where_op(attribute, op, value)
+    return query
+
+
+BOUND_PAIRS = [(">", "<"), (">", "<="), (">=", "<"), (">=", "<=")]
+
+
+class TestTwoSidedRanges:
+    """``lo <= x < hi`` plans as one bounded B-tree walk."""
+
+    @pytest.mark.parametrize("lo_op,hi_op", BOUND_PAIRS)
+    def test_bound_pairs_fold_into_one_index_walk(self, staffed, lo_op, hi_op):
+        db, objects, _rng = staffed
+        salaries = sorted({o.salary for o in objects})
+        # Existing keys as bounds, so inclusive/exclusive ends matter.
+        lo, hi = salaries[40], salaries[90]
+        filters = [("salary", lo_op, lo), ("salary", hi_op, hi)]
+        query = _range_query(db, filters)
+        plan = query.explain()
+        assert plan.access_path == "index_range"
+        assert plan.residual_filters == ()
+        assert plan.index_only
+        (choice,) = plan.index_filters
+        assert choice.comparisons == ((lo_op, lo), (hi_op, hi))
+        expected = {o.name for o in brute_force(objects, filters)}
+        assert expected
+        assert {o.name for o in query} == expected
+        metrics.counter("index_only_answers").reset()
+        pins = metrics.counter("fetch_many_page_pins").value
+        assert query.count() == len(expected)
+        assert query.exists()
+        # count() stays index-only: count_range(low, high), nothing fetched.
+        assert metrics.counter("index_only_answers").value == 2
+        assert metrics.counter("fetch_many_page_pins").value == pins
+
+    @pytest.mark.parametrize("lo_op,hi_op", BOUND_PAIRS)
+    def test_degenerate_ranges(self, staffed, lo_op, hi_op):
+        db, objects, _rng = staffed
+        salaries = sorted({o.salary for o in objects})
+        key = salaries[50]
+        for lo, hi in [(key, key), (salaries[60], salaries[20])]:
+            filters = [("salary", lo_op, lo), ("salary", hi_op, hi)]
+            query = _range_query(db, filters)
+            expected = {o.name for o in brute_force(objects, filters)}
+            if lo > hi or (lo_op, hi_op) != (">=", "<="):
+                assert expected == set()
+            else:
+                assert expected  # lo == hi, both ends inclusive: one key
+            assert {o.name for o in query} == expected
+            assert query.count() == len(expected)
+            assert query.exists() == bool(expected)
+            with db.snapshot():
+                assert {o.name for o in query} == expected
+                assert query.count() == len(expected)
+
+    def test_several_bounds_keep_the_tightest(self, staffed):
+        db, objects, _rng = staffed
+        filters = [
+            ("salary", ">", 40_000),
+            ("salary", ">=", 50_000),
+            ("salary", "<", 100_000),
+            ("salary", "<=", 90_000),
+            ("salary", ">", 50_000),
+            ("salary", "<=", 95_000),
+        ]
+        query = _range_query(db, filters)
+        plan = query.explain()
+        (choice,) = plan.index_filters
+        assert choice.comparisons == ((">", 50_000), ("<=", 90_000))
+        assert plan.residual_filters == ()
+        expected = {o.name for o in brute_force(objects, filters)}
+        assert {o.name for o in query} == expected
+        assert query.count() == len(expected)
+
+    def test_tie_prefers_the_exclusive_bound(self, staffed):
+        db, _objects, _rng = staffed
+        plan = _range_query(
+            db,
+            [
+                ("salary", "<=", 80_000),
+                ("salary", ">=", 60_000),
+                ("salary", "<", 80_000),
+                ("salary", ">", 60_000),
+            ],
+        ).explain()
+        (choice,) = plan.index_filters
+        assert choice.comparisons == ((">", 60_000), ("<", 80_000))
+
+    def test_estimate_uses_both_bounds(self, staffed):
+        db, objects, _rng = staffed
+        plan = _range_query(
+            db, [("salary", ">=", 70_000), ("salary", "<", 75_000)]
+        ).explain()
+        actual = sum(1 for o in objects if 70_000 <= o.salary < 75_000)
+        one_sided = _range_query(db, [("salary", ">=", 70_000)]).explain()
+        assert plan.estimated_rows < one_sided.estimated_rows // 4
+        assert abs(plan.estimated_rows - actual) <= 16
+
+    def test_two_sided_range_beats_equality_on_another_index(self, staffed):
+        db, objects, _rng = staffed
+        filters = [
+            ("dept", "==", "eng"),
+            ("salary", ">=", 70_000),
+            ("salary", "<", 72_000),
+        ]
+        query = _range_query(db, filters)
+        plan = query.explain()
+        assert plan.index_filters[0].attribute == "salary"
+        assert {o.name for o in query} == {
+            o.name for o in brute_force(objects, filters)
+        }
+
+    def test_descending_order_streams_from_two_sided_walk(self, staffed):
+        db, objects, _rng = staffed
+        query = (
+            db.query(Emp)
+            .where_op("salary", ">", 60_000)
+            .where_op("salary", "<=", 90_000)
+            .order_by("salary", descending=True)
+            .limit(7)
+        )
+        plan = query.explain()
+        assert plan.access_path == "index_range" and not plan.sort_needed
+        assert [o.salary for o in query] == sorted(
+            (o.salary for o in objects if 60_000 < o.salary <= 90_000),
+            reverse=True,
+        )[:7]
+
+    def test_dual_indexed_attribute_ranges_use_the_btree(self, mem_db):
+        objects = []
+        for i in range(120):
+            emp = Emp(f"e{i:03d}", 30_000 + 500 * (i % 80), "eng", 0.0)
+            mem_db.add(emp)
+            objects.append(emp)
+        mem_db.commit()
+        mem_db.create_index(Emp, "salary", kind="hash")
+        mem_db.create_index(Emp, "salary")
+        for lo_op, hi_op in BOUND_PAIRS:
+            filters = [("salary", lo_op, 40_000), ("salary", hi_op, 45_000)]
+            query = _range_query(mem_db, filters)
+            plan = query.explain()
+            (choice,) = plan.index_filters
+            assert (plan.access_path, choice.kind) == ("index_range", "btree")
+            expected = {o.name for o in brute_force(objects, filters)}
+            assert {o.name for o in query} == expected
+            assert query.count() == len(expected)
+        # Equality still prefers the hash; the range folds on the B-tree
+        # and the intersection keeps both.
+        filters = [
+            ("salary", "==", 42_000),
+            ("salary", ">=", 40_000),
+            ("salary", "<", 45_000),
+        ]
+        query = _range_query(mem_db, filters)
+        assert query.explain().index_filters[0].kind == "hash"
+        assert {o.name for o in query} == {
+            o.name for o in brute_force(objects, filters)
+        }
+
+    @pytest.mark.parametrize("lo_op,hi_op", BOUND_PAIRS)
+    def test_snapshot_rechecks_both_bounds(self, staffed, lo_op, hi_op):
+        db, objects, _rng = staffed
+        lo, hi = 60_000, 80_000
+        filters = [("salary", lo_op, lo), ("salary", hi_op, hi)]
+        inside = [o for o in objects if 62_000 <= o.salary <= 78_000]
+        above = next(o for o in objects if o.salary > 90_000)
+        below = next(o for o in objects if o.salary < 50_000)
+        leaver = inside[0]
+        moves = {leaver: 100_000, above: 70_000, below: 71_000}
+        query = _range_query(db, filters)
+
+        def writer() -> None:
+            with db.transaction():
+                for obj, salary in moves.items():
+                    db.fetch(obj._p_oid).salary = salary
+
+        with db.snapshot() as snap:
+            thread = threading.Thread(target=writer)
+            thread.start()
+            thread.join(30)
+            assert not thread.is_alive()
+            copies = [snap.fetch(o._p_oid) for o in objects]
+            at_snapshot = {o.name for o in brute_force(copies, filters)}
+            got = {o.name for o in query}
+            # Index candidates are read at query time: a row whose current
+            # value left the range is not a candidate any more.  Rows that
+            # moved *into* the index range carry out-of-range values in
+            # their snapshot copies and fail the re-check of the upper
+            # (``above``) or lower (``below``) bound.
+            assert got == at_snapshot - {leaver.name}
+            assert above.name not in got and below.name not in got
+            assert query.count() == len(got)
+            assert all(lo <= o.salary <= hi for o in query)
+        now = {o.name for o in brute_force(objects, filters)}
+        assert {above.name, below.name} <= now and leaver.name not in now
+        assert {o.name for o in query} == now
+        assert query.count() == len(now)
 
 
 class TestPlanShapes:

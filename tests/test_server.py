@@ -11,12 +11,16 @@ through one server.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
+from datetime import datetime
 
 import pytest
 
 from repro.core import Sentinel, class_rule, event_method
 from repro.core.reactive import Reactive
-from repro.oodb import Database
+from repro.obs.metrics import metrics
+from repro.oodb import Database, Persistent
+from repro.oodb.oid import Oid
 from repro.oodb.schema import ClassRegistry
 from repro.server import RuleClient, RuleServer, ServerError
 
@@ -45,6 +49,18 @@ class Item(Reactive, registry=registry):
 
     def _secret(self) -> str:  # pragma: no cover - must not be callable
         return "hidden"
+
+
+class Stamp(Persistent, registry=registry):
+    """Packed: decoded records hold live ``datetime`` / ``Oid`` values."""
+
+    _p_schema = [("at", "datetime"), ("item", "oid"), ("n", "int")]
+
+    def __init__(self, at=None, item=None, n: int = 0) -> None:
+        super().__init__()
+        self.at = at
+        self.item = item
+        self.n = n
 
 
 @pytest.fixture
@@ -110,6 +126,60 @@ class TestRoundTrip:
         assert stats["requests"] >= 1
         assert "triggered" in stats["scheduler"]
         assert stats["worker_pool"] is None
+
+
+class TestPackedRecords:
+    def test_packed_datetime_and_oid_fields_are_tagged(self, served):
+        system, client = served
+        db = system.db
+        at = datetime(2026, 3, 4, 5, 6, 7, 890)
+        with db.transaction():
+            item = db.add(Item(name="widget"))
+            oid = db.add(Stamp(at, item, 1)).value
+        record = client.get(oid)
+        assert record == {
+            "oid": oid,
+            "class": "Stamp",
+            "attrs": {"at": {"$datetime": at.isoformat()},
+                      "item": {"$oid": item.value}, "n": 1},
+        }
+        assert client.query("Stamp", where=[["n", "==", 1]]) == [record]
+
+    def test_unencodable_reply_is_a_counted_500(self, served, monkeypatch):
+        _system, client = served
+        errors = metrics.counter("server_errors")
+        before = errors.value
+        monkeypatch.setattr(
+            RuleServer, "_ping", lambda self: {"ok": True, "odd": {1, 2}}
+        )
+        with pytest.raises(ServerError) as err:
+            client.ping()
+        assert err.value.status == 500
+        assert err.value.error == "server_error"
+        assert errors.value == before + 1
+
+    def test_pre_image_reads_keep_their_oid(self, served):
+        system, client = served
+        db = system.db
+        oid = client.create("Item", name="widget", qty=1)
+        snap = db.begin_snapshot()
+        try:
+            client.update(oid, qty=2)
+            record = snap.record(Oid(oid))
+            assert record["oid"] == oid
+            assert record["attrs"]["qty"] == 1
+            # Serve GET /object from the same pinned snapshot, so the
+            # reply comes from the update's pre-image.
+            db.snapshot = lambda: nullcontext(snap)
+            try:
+                served_record = client.get(oid)
+            finally:
+                del db.snapshot
+            assert served_record["oid"] == oid
+            assert served_record["attrs"]["qty"] == 1
+        finally:
+            db.end_snapshot(snap)
+        assert client.get(oid)["attrs"]["qty"] == 2
 
 
 class TestErrorMapping:
