@@ -195,126 +195,92 @@ class Rule(Reactive, Notifiable):
         """Evaluate the condition; run the action if it holds.
 
         Returns True when the action ran.  This method is itself an event
-        generator (rules on rules).
+        generator (rules on rules).  With the tracer or the slow-op log
+        on, the condition and action run through :meth:`_phase`, and the
+        tracer gets an "outcome" point (the join key for per-rule
+        reports); otherwise they are called directly.
         """
+        context = RuleContext(
+            rule=self,
+            occurrence=occurrence,
+            params=occurrence.parameters(),
+        )
+        observed = _tracer.enabled or _slowlog.enabled
+        self.times_triggered += 1
+        if self.condition is not None:
+            if observed:
+                passed = self._phase("condition", self.condition, context)
+            else:
+                passed = self.condition(context)
+            if not passed:
+                if _tracer.enabled:
+                    _tracer.point(
+                        "outcome", self.name,
+                        rule=self.name, fired=False, seq=occurrence.seq,
+                    )
+                return False
+        self.times_fired += 1
+        if self.action is not None:
+            if observed:
+                self._phase("action", self.action, context)
+            else:
+                self.action(context)
         if _tracer.enabled:
-            return self._fire_traced(occurrence)
-        if _slowlog.enabled:
-            return self._fire_timed(occurrence)
-        context = RuleContext(
-            rule=self,
-            occurrence=occurrence,
-            params=occurrence.parameters(),
-        )
-        self.times_triggered += 1
-        if self.condition is not None and not self.condition(context):
-            return False
-        self.times_fired += 1
-        if self.action is not None:
-            self.action(context)
-        return True
-
-    def _fire_timed(self, occurrence: Occurrence) -> bool:
-        """Slow-op timing path of :meth:`fire`: same protocol, with the
-        condition and action bodies timed separately so the slow-op log
-        can attribute a slow firing to the right phase.  Entries are
-        recorded in ``finally`` blocks so a slow body that raises still
-        logs before the exception unwinds."""
-        context = RuleContext(
-            rule=self,
-            occurrence=occurrence,
-            params=occurrence.parameters(),
-        )
-        self.times_triggered += 1
-        if self.condition is not None:
-            started = perf_counter()
-            try:
-                passed = bool(self.condition(context))
-            finally:
-                self._note_phase("condition", occurrence.seq, started)
-            if not passed:
-                return False
-        self.times_fired += 1
-        if self.action is not None:
-            started = perf_counter()
-            try:
-                self.action(context)
-            finally:
-                self._note_phase("action", occurrence.seq, started)
-        return True
-
-    def _note_phase(self, phase: str, seq: int, started: float) -> None:
-        """Record a slow-op entry when a condition/action body overran."""
-        if not _slowlog.enabled:
-            return
-        micros = (perf_counter() - started) * 1e6
-        if micros < _slowlog.slow_rule_us:
-            return
-        _slowlog.record(
-            "rule",
-            micros,
-            _slowlog.slow_rule_us,
-            signal="rule_slow",
-            signal_payload={
-                "rule": self.name,
-                "phase": phase,
-                "seq": seq,
-                "micros": round(micros, 1),
-                "threshold_us": _slowlog.slow_rule_us,
-            },
-            rule=self.name,
-            phase=phase,
-            seq=seq,
-            coupling=self.coupling.value,
-        )
-
-    def _fire_traced(self, occurrence: Occurrence) -> bool:
-        """Tracing slow path of :meth:`fire`: same protocol, with a
-        "condition" span, an "action" span, and an "outcome" point (the
-        join key for per-rule reports)."""
-        context = RuleContext(
-            rule=self,
-            occurrence=occurrence,
-            params=occurrence.parameters(),
-        )
-        self.times_triggered += 1
-        if self.condition is not None:
-            span = _tracer.begin(
-                "condition", self.name, rule=self.name, seq=occurrence.seq
+            _tracer.point(
+                "outcome", self.name,
+                rule=self.name, fired=True, seq=occurrence.seq,
             )
-            started = perf_counter()
-            try:
-                passed = bool(self.condition(context))
-            except BaseException as exc:
+        return True
+
+    def _phase(
+        self, phase: str, body: Callable[[RuleContext], Any], context: RuleContext
+    ) -> Any:
+        """Run a condition or action body under the observers that are on.
+
+        The tracer gets a span named after the phase (a condition span
+        closes with ``passed``; a raising body closes its span with
+        ``error``).  The slow-op log gets an entry when the body overran
+        ``slow_rule_us`` — recorded in ``finally`` so a slow body that
+        raises still logs before the exception unwinds.
+        """
+        seq = context.occurrence.seq
+        span = None
+        if _tracer.enabled:
+            span = _tracer.begin(phase, self.name, rule=self.name, seq=seq)
+        started = perf_counter()
+        try:
+            result = body(context)
+        except BaseException as exc:
+            if span is not None:
                 _tracer.end(span, error=type(exc).__name__)
-                raise
-            finally:
-                self._note_phase("condition", occurrence.seq, started)
-            _tracer.end(span, passed=passed)
-            if not passed:
-                _tracer.point(
-                    "outcome", self.name,
-                    rule=self.name, fired=False, seq=occurrence.seq,
+            raise
+        finally:
+            micros = (perf_counter() - started) * 1e6
+            if _slowlog.enabled and micros >= _slowlog.slow_rule_us:
+                _slowlog.record(
+                    "rule",
+                    micros,
+                    _slowlog.slow_rule_us,
+                    signal="rule_slow",
+                    signal_payload={
+                        "rule": self.name,
+                        "phase": phase,
+                        "seq": seq,
+                        "micros": round(micros, 1),
+                        "threshold_us": _slowlog.slow_rule_us,
+                    },
+                    rule=self.name,
+                    phase=phase,
+                    seq=seq,
+                    coupling=self.coupling.value,
                 )
-                return False
-        self.times_fired += 1
-        if self.action is not None:
-            span = _tracer.begin(
-                "action", self.name, rule=self.name, seq=occurrence.seq
-            )
-            started = perf_counter()
-            try:
-                self.action(context)
-            except BaseException as exc:
-                _tracer.end(span, error=type(exc).__name__)
-                raise
-            finally:
-                self._note_phase("action", occurrence.seq, started)
+        if phase == "condition":
+            result = bool(result)
+            if span is not None:
+                _tracer.end(span, passed=result)
+        elif span is not None:
             _tracer.end(span)
-        _tracer.point(
-            "outcome", self.name, rule=self.name, fired=True, seq=occurrence.seq
-        )
-        return True
+        return result
 
     # ------------------------------------------------------------------
     # Rule operations (create/delete are object lifecycle; these remain)

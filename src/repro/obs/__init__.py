@@ -5,8 +5,7 @@ The passive half is deliberately free of imports from ``repro.core`` and
 
 * :mod:`repro.obs.metrics` — a process-wide registry of named counters
   and latency histograms (p50/p95/p99).  The PR-1 fast-path counters
-  (``PipelineStats``) now live here; ``repro.stats`` remains as a thin
-  compatibility alias.
+  (``PipelineStats``) live here too.
 * :mod:`repro.obs.tracer` — a causality tracer: lightweight spans linking
   method invocation → bom/eom occurrence → detector evaluation → rule
   condition → action (and, on the OODB side, transaction commits and WAL
@@ -15,7 +14,8 @@ The passive half is deliberately free of imports from ``repro.core`` and
 * :mod:`repro.obs.signals` — the dependency-free hub engine layers emit
   health signals into.
 * :mod:`repro.obs.audit` — the durable, size-rotated JSONL audit trail
-  of rule firings (queried by ``python -m repro.tools.audit``).
+  of rule firings (queried by ``python -m repro.tools.audit``), and the
+  rotating JSONL writer it shares with the slow-op log.
 * :mod:`repro.obs.slowlog` — the threshold-driven slow-operation log:
   slow queries (with their analyzed plans), slow rule bodies, slow WAL
   fsyncs, and long transactions, as rotated JSONL.

@@ -40,6 +40,7 @@ from typing import IO, Any, Iterator
 
 __all__ = [
     "AuditLog",
+    "RotatingJsonlLog",
     "audit_log",
     "OUTCOMES",
     "read_entries",
@@ -50,18 +51,16 @@ __all__ = [
 OUTCOMES = ("fired", "rejected", "error", "aborted")
 
 
-class AuditLog:
-    """Append-only, size-rotated JSONL log of rule firings."""
+class RotatingJsonlLog:
+    """Append-only, size-rotated JSONL file, safe for concurrent writers.
 
-    __slots__ = (
-        "enabled",
-        "path",
-        "max_bytes",
-        "keep",
-        "_handle",
-        "_size",
-        "_lock",
-    )
+    The writer both durable logs share: :class:`AuditLog` here and
+    :class:`~repro.obs.slowlog.SlowOpLog` add only their entry shapes.
+    Appends, rotation and close serialize on one mutex.
+    """
+
+    __slots__ = ("enabled", "path", "max_bytes", "keep", "_handle", "_size",
+                 "_lock")
 
     def __init__(self) -> None:
         self.enabled = False
@@ -77,8 +76,8 @@ class AuditLog:
     # ------------------------------------------------------------------
     def open(
         self, path: str, max_bytes: int = 1 << 20, keep: int = 3
-    ) -> "AuditLog":
-        """Start auditing to ``path`` (appends if it already exists)."""
+    ) -> "RotatingJsonlLog":
+        """Start writing to ``path`` (appends if it already exists)."""
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
         if keep < 1:
@@ -103,6 +102,41 @@ class AuditLog:
     # ------------------------------------------------------------------
     # Writing (any thread; appends serialize on the mutex)
     # ------------------------------------------------------------------
+    def append(self, entry: dict[str, Any]) -> bool:
+        """Write ``entry`` as one line; False when the log is closed."""
+        line = json.dumps(entry, default=str)
+        with self._lock:
+            handle = self._handle
+            if handle is None:
+                return False
+            handle.write(line)
+            handle.write("\n")
+            handle.flush()
+            self._size += len(line) + 1
+            if self._size >= self.max_bytes:
+                self._rotate()
+        return True
+
+    def _rotate(self) -> None:
+        assert self.path is not None and self._handle is not None
+        self._handle.close()
+        oldest = f"{self.path}.{self.keep}"
+        if os.path.exists(oldest):
+            os.remove(oldest)
+        for i in range(self.keep - 1, 0, -1):
+            src = f"{self.path}.{i}"
+            if os.path.exists(src):
+                os.replace(src, f"{self.path}.{i + 1}")
+        os.replace(self.path, f"{self.path}.1")
+        self._handle = open(self.path, "a", encoding="utf-8")
+        self._size = 0
+
+
+class AuditLog(RotatingJsonlLog):
+    """Append-only, size-rotated JSONL log of rule firings."""
+
+    __slots__ = ()
+
     def record(
         self,
         rule: str,
@@ -127,31 +161,7 @@ class AuditLog:
         current = threading.current_thread()
         if current is not threading.main_thread():
             entry["thread"] = current.name
-        line = json.dumps(entry, default=str)
-        with self._lock:
-            handle = self._handle
-            if handle is None:
-                return
-            handle.write(line)
-            handle.write("\n")
-            handle.flush()
-            self._size += len(line) + 1
-            if self._size >= self.max_bytes:
-                self._rotate()
-
-    def _rotate(self) -> None:
-        assert self.path is not None and self._handle is not None
-        self._handle.close()
-        oldest = f"{self.path}.{self.keep}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.keep - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = 0
+        self.append(entry)
 
 
 def read_entries(

@@ -1,14 +1,14 @@
 """Named counters and latency histograms for the pipeline and the OODB.
 
 The PR-1 optimizations introduced ad-hoc process-wide counters
-(``repro.stats.PipelineStats``); this module generalizes them into a
+(:class:`PipelineStats`); this module generalizes them into a
 :class:`MetricsRegistry` — named :class:`Counter` and :class:`Histogram`
 instruments that the tracer, the benchmarks, and the tools all read from
 one place.  ``PipelineStats`` itself is re-homed here (the hot paths keep
 bumping plain integer attributes on it — one ``int`` add, no indirection)
 and is exposed through the registry as a *collector*, so
 ``metrics.snapshot()`` includes the fast-path counters alongside
-everything else.  ``repro.stats`` re-exports the compatibility names.
+everything else.
 
 This module must not import ``repro.core`` or ``repro.oodb`` — both feed
 metrics into it.
@@ -304,7 +304,7 @@ metrics = MetricsRegistry()
 
 
 # ----------------------------------------------------------------------
-# PipelineStats — the PR-1 fast-path counters, re-homed from repro.stats
+# PipelineStats — the PR-1 fast-path counters
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class PipelineStats:
@@ -338,7 +338,7 @@ class PipelineStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-#: The process-wide instance (formerly ``repro.stats.pipeline_stats``).
+#: The process-wide instance.
 pipeline_stats = PipelineStats()
 
 metrics.register_collector(

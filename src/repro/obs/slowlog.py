@@ -30,18 +30,20 @@ can react to slowness the way they react to errors.
 
 Like the audit log, the slow-op log is opt-in and its call sites are
 one-flag guarded (``if _slowlog.enabled:``); closed, it costs an
-attribute load.  Rotation and the read side reuse the audit-log
-conventions (:func:`repro.obs.audit.read_entries` /
-:func:`repro.obs.audit.tail_entries` work on slow-op files unchanged).
+attribute load.  The file itself is the audit log's writer
+(:class:`repro.obs.audit.RotatingJsonlLog`): the same rotation, and the
+same mutex, so any thread may record a breach — the WAL syncer, rule
+workers and server threads all do.  The audit-log readers
+(:func:`repro.obs.audit.read_entries` /
+:func:`repro.obs.audit.tail_entries`) work on slow-op files unchanged.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import IO, Any
+from typing import Any
 
+from .audit import RotatingJsonlLog
 from .metrics import metrics
 from .signals import engine_signals
 
@@ -59,29 +61,14 @@ DEFAULT_THRESHOLDS = {
 }
 
 
-class SlowOpLog:
+class SlowOpLog(RotatingJsonlLog):
     """Append-only, size-rotated JSONL log of threshold breaches."""
 
-    __slots__ = (
-        "enabled",
-        "path",
-        "max_bytes",
-        "keep",
-        "slow_query_us",
-        "slow_rule_us",
-        "slow_fsync_us",
-        "long_txn_us",
-        "_handle",
-        "_size",
-    )
+    __slots__ = ("slow_query_us", "slow_rule_us", "slow_fsync_us",
+                 "long_txn_us")
 
     def __init__(self) -> None:
-        self.enabled = False
-        self.path: str | None = None
-        self.max_bytes = 1 << 20
-        self.keep = 3
-        self._handle: IO[str] | None = None
-        self._size = 0
+        super().__init__()
         self.reset_thresholds()
 
     # ------------------------------------------------------------------
@@ -99,25 +86,9 @@ class SlowOpLog:
         Keyword thresholds (``slow_query_us``, ``slow_rule_us``,
         ``slow_fsync_us``, ``long_txn_us``) override the defaults.
         """
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
-        self.close()
         self.configure(**thresholds)
-        self.path = path
-        self.max_bytes = max_bytes
-        self.keep = keep
-        self._handle = open(path, "a", encoding="utf-8")
-        self._size = self._handle.tell()
-        self.enabled = True
+        super().open(path, max_bytes, keep)
         return self
-
-    def close(self) -> None:
-        self.enabled = False
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
 
     def configure(self, **thresholds: float) -> "SlowOpLog":
         """Set thresholds by keyword; unknown names raise."""
@@ -135,7 +106,7 @@ class SlowOpLog:
             setattr(self, name, value)
 
     # ------------------------------------------------------------------
-    # Writing (engine thread only; call sites guard on ``enabled``)
+    # Writing (any thread; call sites guard on ``enabled``)
     # ------------------------------------------------------------------
     def record(
         self,
@@ -147,42 +118,20 @@ class SlowOpLog:
         **context: Any,
     ) -> None:
         """Append one breach entry; optionally raise it as a sysmon signal."""
-        handle = self._handle
-        if handle is None:
-            return
-        line = json.dumps(
+        written = self.append(
             {
                 "ts": round(time.time(), 3),
                 "kind": kind,
                 "duration_us": round(duration_us, 1),
                 "threshold_us": round(threshold_us, 1),
                 **context,
-            },
-            default=str,
+            }
         )
-        handle.write(line)
-        handle.write("\n")
-        handle.flush()
-        self._size += len(line) + 1
-        if self._size >= self.max_bytes:
-            self._rotate()
+        if not written:
+            return
         metrics.counter(f"slow_ops_total{{kind={kind}}}").inc()
         if signal is not None and engine_signals.active:
             engine_signals.emit(signal, **(signal_payload or {}))
-
-    def _rotate(self) -> None:
-        assert self.path is not None and self._handle is not None
-        self._handle.close()
-        oldest = f"{self.path}.{self.keep}"
-        if os.path.exists(oldest):
-            os.remove(oldest)
-        for i in range(self.keep - 1, 0, -1):
-            src = f"{self.path}.{i}"
-            if os.path.exists(src):
-                os.replace(src, f"{self.path}.{i + 1}")
-        os.replace(self.path, f"{self.path}.1")
-        self._handle = open(self.path, "a", encoding="utf-8")
-        self._size = 0
 
 
 #: The process-wide slow-op log.  Engine modules bind this to a local

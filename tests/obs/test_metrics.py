@@ -129,9 +129,6 @@ class TestRegistry:
 
 
 class TestPipelineStatsRehoming:
-    # The repro.stats alias itself is covered by test_stats_alias.py;
-    # everything here exercises the canonical repro.obs.metrics home.
-
     def test_reset_returns_the_shared_instance(self):
         pipeline_stats.group_commits += 3
         returned = reset_pipeline_stats()

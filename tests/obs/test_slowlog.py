@@ -1,6 +1,9 @@
 """The slow-op log: thresholds, rotation, engine hooks, sysmon signals."""
 
 import json
+import os
+import sys
+import threading
 import time
 
 import pytest
@@ -107,6 +110,45 @@ class TestRecord:
                 s.disable_slow_log()
             assert monitor.slow_queries == 1
             monitor.detach()
+
+
+class TestConcurrentWriters:
+    def test_threads_rotate_without_errors_or_loss(self, tmp_path):
+        """The WAL syncer, rule workers and server threads all record
+        breaches: rotation under concurrent appends must lose nothing."""
+        threads, per_thread = 4, 500
+        path = str(tmp_path / "s.jsonl")
+        log = SlowOpLog()
+        # ~100-byte lines: about 50 rotations, every generation retained.
+        log.open(path, max_bytes=4096, keep=100)
+        failures = []
+        start = threading.Barrier(threads)
+
+        def writer(worker):
+            start.wait(timeout=10)
+            for i in range(per_thread):
+                try:
+                    log.record("query", 100.0, 50.0, worker=worker, i=i)
+                except Exception as exc:  # the defect under test
+                    failures.append(exc)
+
+        pool = [threading.Thread(target=writer, args=(w,))
+                for w in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave appends and rotations
+        try:
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        log.close()
+        assert not any(thread.is_alive() for thread in pool)
+        assert failures == []
+        written = {(e["worker"], e["i"]) for e in read_entries(path)}
+        assert len(written) == threads * per_thread
+        assert os.path.exists(path + ".1")  # rotation really happened
 
 
 class TestEngineHooks:
