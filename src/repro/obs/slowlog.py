@@ -14,8 +14,9 @@ Entry kinds and their context:
 
 ``query``   class, access path, rows returned, and the full analyzed
             plan (estimates next to actuals — see ``Query.explain``).
-            While the log is open, query executions run through the
-            instrumented path so the plan evidence exists to attach.
+            While the log is open, query executions (``count()`` and
+            ``exists()`` row fallbacks included) run with stage timing
+            on so the plan evidence exists to attach.
 ``rule``    rule name, phase (``condition``/``action``), occurrence
             seq, coupling.
 ``fsync``   WAL path and the fsync latency.

@@ -27,14 +27,15 @@ predicates, and sorts/limits the result.  Execution is planned per run:
 The plan is a per-execution value object — building or running a query
 never mutates the builder, so a ``Query`` can be iterated repeatedly.
 :meth:`Query.explain` returns the plan without executing it;
-``explain(analyze=True)`` *executes* the query through an instrumented
-twin of the normal pipeline and returns an :class:`AnalyzedPlan` — the
+``explain(analyze=True)`` *executes* the query, with every stage of the
+one execution pipeline timed, and returns an :class:`AnalyzedPlan` — the
 plan plus measured per-stage numbers (rows scanned vs. estimated, index
 probes, ``fetch_many`` page pins, buffer hit rate, residual-filter
 drops, wall time per stage), so planner mis-estimates are visible.
 Setting ``db.profile_queries = True`` (or opening the slow-op log)
-routes every execution through the instrumented path; the most recent
-result is kept on ``db.last_query_profile`` and slow executions land in
+profiles every execution that materializes rows, ``count()``/``exists()``
+fallbacks included; the most recent result is kept on
+``db.last_query_profile`` and slow executions land in
 :mod:`repro.obs.slowlog` with their analyzed plan attached.
 
 Example::
@@ -52,8 +53,9 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -264,13 +266,13 @@ class QueryPlan:
 
 @dataclass(slots=True)
 class ExecutionStats:
-    """Measured per-stage numbers from one instrumented execution.
+    """Measured per-stage numbers from one profiled execution.
 
     Counters cover the four pipeline stages (access → fetch → filter →
     sort); ``*_us`` fields are the wall time spent inside each.  In
     streaming executions (no in-memory sort) a ``limit`` stops the
-    pipeline early, exactly like the uninstrumented path, so the counts
-    reflect the work actually done.
+    pipeline early — profiled or not, it is the same pipeline — so the
+    counts reflect the work actually done.
     """
 
     candidates: int = 0        # OIDs the access path yielded ("rows scanned")
@@ -308,8 +310,8 @@ class AnalyzedPlan:
     Returned by ``Query.explain(analyze=True)`` and kept on
     ``db.last_query_profile`` when profiling is on.  ``describe()``
     renders the plan with an ``analyze:`` section putting actuals next
-    to the planner's estimates; ``to_json()`` is the machine-readable
-    twin (it is what the slow-op log embeds).
+    to the planner's estimates; ``to_json()`` carries the same numbers
+    machine-readably (it is what the slow-op log embeds).
     """
 
     __slots__ = ("plan", "stats")
@@ -417,7 +419,7 @@ class Query:
 
         With ``analyze=False`` (the default) the plan is returned
         without executing anything.  With ``analyze=True`` the query is
-        *executed* through the instrumented pipeline and the returned
+        *executed* with stage timing on and the returned
         :class:`AnalyzedPlan` carries the measured per-stage numbers
         next to the planner's estimates.
         """
@@ -433,143 +435,136 @@ class Query:
 
     def _prepare(self) -> QueryPlan:
         db = self._db
-        if db.locking:
-            # Extent sets and index trees are shared with concurrent
-            # writers; plan estimates read them under the state lock.
-            with db._state_lock:
-                return self._prepare_unlocked()
-        return self._prepare_unlocked()
-
-    def _prepare_unlocked(self) -> QueryPlan:
-        db = self._db
-        extent_size = db.extents.count(
-            self._class_name, self._include_subclasses
-        )
-        order = self._order
-
-        choices: list[IndexChoice] = []
-        residual: list[tuple[str, str, Any]] = []
-        # attribute -> (B-tree, tightest lower bound, tightest upper bound);
-        # every range filter on one attribute folds into one bounded walk.
-        ranges: dict[str, tuple["_IndexState", Any, Any]] = {}
-        for attribute, op, value in self._attr_filters:
-            states = (
-                db.indexes.covering_all(self._class_name, attribute)
-                if op in _INDEXABLE_OPS
-                else []
+        # Extent sets and index trees are shared with concurrent writers;
+        # plan estimates read them under the state lock.
+        with self._shared_state():
+            extent_size = db.extents.count(
+                self._class_name, self._include_subclasses
             )
-            if op != "==":
-                # Hash indexes are unordered and equality-only; a range
-                # comparison must come from a B-tree or not at all.
-                states = [s for s in states if s.kind == "btree"]
-            if not states:
-                residual.append((attribute, op, value))
-                continue
-            if op != "==":
-                state, lower, upper = ranges.get(attribute, (states[0], None, None))
-                if op in ("<", "<="):
-                    upper = _tighter((op, value), upper)
-                else:
-                    lower = _tighter((op, value), lower)
-                ranges[attribute] = (state, lower, upper)
-                continue
-            best: IndexChoice | None = None
-            for state in states:
-                estimate = state.tree.count_key(value)
-                cost = estimate + _probe_cost(state)
-                if best is None or cost < best.cost:
-                    best = IndexChoice(
+            order = self._order
+
+            choices: list[IndexChoice] = []
+            residual: list[tuple[str, str, Any]] = []
+            # attribute -> (B-tree, tightest lower bound, tightest upper bound);
+            # every range filter on one attribute folds into one bounded walk.
+            ranges: dict[str, tuple["_IndexState", Any, Any]] = {}
+            for attribute, op, value in self._attr_filters:
+                states = (
+                    db.indexes.covering_all(self._class_name, attribute)
+                    if op in _INDEXABLE_OPS
+                    else []
+                )
+                if op != "==":
+                    # Hash indexes are unordered and equality-only; a range
+                    # comparison must come from a B-tree or not at all.
+                    states = [s for s in states if s.kind == "btree"]
+                if not states:
+                    residual.append((attribute, op, value))
+                    continue
+                if op != "==":
+                    state, lower, upper = ranges.get(attribute, (states[0], None, None))
+                    if op in ("<", "<="):
+                        upper = _tighter((op, value), upper)
+                    else:
+                        lower = _tighter((op, value), lower)
+                    ranges[attribute] = (state, lower, upper)
+                    continue
+                best: IndexChoice | None = None
+                for state in states:
+                    estimate = state.tree.count_key(value)
+                    cost = estimate + _probe_cost(state)
+                    if best is None or cost < best.cost:
+                        best = IndexChoice(
+                            attribute,
+                            op,
+                            value,
+                            state.definition.name,
+                            estimate,
+                            state.kind,
+                            cost,
+                        )
+                assert best is not None
+                choices.append(best)
+            for attribute, (state, lower, upper) in ranges.items():
+                tree = state.tree
+                assert isinstance(tree, BTree)
+                estimate = tree.estimate_range_count(
+                    None if lower is None else lower[1],
+                    None if upper is None else upper[1],
+                )
+                (op, value), *rest = [b for b in (lower, upper) if b is not None]
+                high_op, high = rest[0] if rest else (None, None)
+                choices.append(
+                    IndexChoice(
                         attribute,
                         op,
                         value,
                         state.definition.name,
                         estimate,
                         state.kind,
-                        cost,
+                        estimate + _probe_cost(state),
+                        high_op,
+                        high,
                     )
-            assert best is not None
-            choices.append(best)
-        for attribute, (state, lower, upper) in ranges.items():
-            tree = state.tree
-            assert isinstance(tree, BTree)
-            estimate = tree.estimate_range_count(
-                None if lower is None else lower[1],
-                None if upper is None else upper[1],
-            )
-            (op, value), *rest = [b for b in (lower, upper) if b is not None]
-            high_op, high = rest[0] if rest else (None, None)
-            choices.append(
-                IndexChoice(
-                    attribute,
-                    op,
-                    value,
-                    state.definition.name,
-                    estimate,
-                    state.kind,
-                    estimate + _probe_cost(state),
-                    high_op,
-                    high,
                 )
-            )
 
-        order_satisfied = False
-        if choices:
-            choices.sort(key=lambda c: (c.cost, c.attribute, c.op))
-            primary = choices[0]
-            cap = max(_INTERSECT_MIN_ROWS, extent_size // 4)
-            secondary: list[IndexChoice] = []
-            for choice in choices[1:]:
-                if choice.estimated_rows <= cap:
-                    secondary.append(choice)
+            order_satisfied = False
+            if choices:
+                choices.sort(key=lambda c: (c.cost, c.attribute, c.op))
+                primary = choices[0]
+                cap = max(_INTERSECT_MIN_ROWS, extent_size // 4)
+                secondary: list[IndexChoice] = []
+                for choice in choices[1:]:
+                    if choice.estimated_rows <= cap:
+                        secondary.append(choice)
+                    else:
+                        residual.extend(
+                            (choice.attribute, op, value)
+                            for op, value in choice.comparisons
+                        )
+                index_filters = (primary, *secondary)
+                if secondary:
+                    access_path = "index_intersect"
+                elif primary.op == "==":
+                    access_path = "hash_eq" if primary.kind == "hash" else "index_eq"
                 else:
-                    residual.extend(
-                        (choice.attribute, op, value)
-                        for op, value in choice.comparisons
-                    )
-            index_filters = (primary, *secondary)
-            if secondary:
-                access_path = "index_intersect"
-            elif primary.op == "==":
-                access_path = "hash_eq" if primary.kind == "hash" else "index_eq"
+                    access_path = "index_range"
+                order_satisfied = (
+                    order is not None
+                    and not secondary
+                    and primary.attribute == order[0]
+                )
+                estimated_rows = primary.estimated_rows
             else:
-                access_path = "index_range"
-            order_satisfied = (
-                order is not None
-                and not secondary
-                and primary.attribute == order[0]
-            )
-            estimated_rows = primary.estimated_rows
-        else:
-            index_filters = ()
-            if order is not None and (
-                db.indexes.covering(self._class_name, order[0], kind="btree")
-                is not None
-            ):
-                access_path = "index_order"
-                order_satisfied = True
-            else:
-                access_path = "extent_scan"
-            estimated_rows = extent_size
+                index_filters = ()
+                if order is not None and (
+                    db.indexes.covering(self._class_name, order[0], kind="btree")
+                    is not None
+                ):
+                    access_path = "index_order"
+                    order_satisfied = True
+                else:
+                    access_path = "extent_scan"
+                estimated_rows = extent_size
 
-        plan = QueryPlan(
-            class_name=self._class_name,
-            include_subclasses=self._include_subclasses,
-            access_path=access_path,
-            index_filters=index_filters,
-            residual_filters=tuple(residual),
-            predicates=len(self._predicates),
-            order=order,
-            sort_needed=order is not None and not order_satisfied,
-            index_only=(
-                not self._predicates
-                and not residual
-                and (bool(index_filters) or not self._attr_filters)
-            ),
-            limit=self._limit,
-            estimated_rows=estimated_rows,
-            extent_size=extent_size,
-        )
-        return plan
+            return QueryPlan(
+                class_name=self._class_name,
+                include_subclasses=self._include_subclasses,
+                access_path=access_path,
+                index_filters=index_filters,
+                residual_filters=tuple(residual),
+                predicates=len(self._predicates),
+                order=order,
+                sort_needed=order is not None and not order_satisfied,
+                index_only=(
+                    not self._predicates
+                    and not residual
+                    and (bool(index_filters) or not self._attr_filters)
+                ),
+                limit=self._limit,
+                estimated_rows=estimated_rows,
+                extent_size=extent_size,
+            )
 
     def _note_execution(self, plan: QueryPlan) -> None:
         _count_execution(plan.access_path)
@@ -589,47 +584,59 @@ class Query:
     # Execution
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator["Persistent"]:
-        plan = self._prepare()
+        return self._rows(self._prepare())
+
+    def _rows(self, plan: QueryPlan) -> Iterator["Persistent"]:
+        """Rows of ``plan`` for every terminal that materializes them —
+        profiled under ``db.profile_queries`` or an open slow-op log."""
         if self._db.profile_queries or _slowlog.enabled:
             return iter(self._profiled_execute(plan))
         return self._execute(plan)
 
-    def _execute(self, plan: QueryPlan) -> Iterator["Persistent"]:
+    def _execute(
+        self, plan: QueryPlan, stats: ExecutionStats | None = None
+    ) -> Iterator["Persistent"]:
+        """The access → fetch → filter → sort → limit pipeline; with
+        ``stats``, every stage is timed and counted into it.  ``limit``
+        stops the stream without pulling a row past it."""
         self._note_execution(plan)
         passes = self._effective_passes(plan)
         candidates = self._collect_candidates(plan)
+        if stats is not None:
+            candidates = _timed_oids(candidates, stats)
+            passes = _timed_filter(passes, stats)
+        objects: Iterator["Persistent"] = (
+            obj for obj in self._fetch_stream(candidates, stats) if passes(obj)
+        )
         if plan.sort_needed:
             assert plan.order is not None
             attribute, descending = plan.order
             present: list["Persistent"] = []
             absent: list["Persistent"] = []
-            for obj in self._fetch_stream(candidates):
-                if not passes(obj):
-                    continue
+            for obj in objects:
                 if getattr(obj, attribute, _MISSING) is _MISSING:
                     absent.append(obj)
                 else:
                     present.append(obj)
+            t0 = perf_counter()
             present.sort(
                 key=lambda obj: getattr(obj, attribute), reverse=descending
             )
+            if stats is not None:
+                stats.sort_us = (perf_counter() - t0) * 1e6
             # Objects without the sort attribute always sort last — the
             # counterpart of filters treating a missing attribute as a
             # non-match rather than an error.
-            objects: Iterator["Persistent"] = iter(present + absent)
-        else:
-            objects = (
-                obj for obj in self._fetch_stream(candidates) if passes(obj)
-            )
+            objects = iter(present + absent)
         if plan.limit is not None:
-            objects = _take(objects, plan.limit)
+            objects = islice(objects, plan.limit)
         return objects
 
     # ------------------------------------------------------------------
-    # Instrumented execution (EXPLAIN ANALYZE / profiling / slow-op log)
+    # Profiled execution (EXPLAIN ANALYZE / profiling / slow-op log)
     # ------------------------------------------------------------------
     def _profiled_execute(self, plan: QueryPlan) -> list["Persistent"]:
-        """Execute through the instrumented pipeline, keep the evidence."""
+        """Execute with stage timing on, keep the evidence."""
         rows, stats = self._run_analyzed(plan)
         analyzed = AnalyzedPlan(plan, stats)
         self._db.last_query_profile = analyzed
@@ -656,18 +663,16 @@ class Query:
     def _run_analyzed(
         self, plan: QueryPlan
     ) -> tuple[list["Persistent"], ExecutionStats]:
-        """The instrumented twin of :meth:`_execute`.
+        """Run :meth:`_execute` with per-stage stats, plus the whole-run
+        numbers: index probes, page pins, buffer-pool hits and misses and
+        total time.
 
-        Same stages, same results, same early termination on ``limit``
-        (when no in-memory sort forces full materialization) — but every
-        stage boundary is timed and counted.  The per-row ``perf_counter``
-        bracketing costs a few hundred ns/row, which is why this path is
-        opt-in (``analyze=True`` / ``profile_queries`` / open slow-op log)
-        rather than the default.
+        The per-row ``perf_counter`` bracketing costs a few hundred
+        ns/row, which is why profiling is opt-in (``analyze=True`` /
+        ``profile_queries`` / open slow-op log) rather than the default.
         """
         stats = ExecutionStats()
         total0 = perf_counter()
-        self._note_execution(plan)
         stats.index_probes = len(plan.index_filters) or (
             1 if plan.access_path == "index_order" else 0
         )
@@ -677,46 +682,7 @@ class Query:
         pins = metrics.counter("fetch_many_page_pins")
         pins0 = pins.value
 
-        passes = self._effective_passes(plan)
-        candidates = self._timed_oids(
-            iter(self._collect_candidates(plan)), stats
-        )
-        out: list["Persistent"] = []
-        if plan.sort_needed:
-            assert plan.order is not None
-            attribute, descending = plan.order
-            present: list["Persistent"] = []
-            absent: list["Persistent"] = []
-            for obj in self._timed_fetch(candidates, stats):
-                t0 = perf_counter()
-                ok = passes(obj)
-                stats.filter_us += (perf_counter() - t0) * 1e6
-                if not ok:
-                    stats.residual_dropped += 1
-                    continue
-                if getattr(obj, attribute, _MISSING) is _MISSING:
-                    absent.append(obj)
-                else:
-                    present.append(obj)
-            t0 = perf_counter()
-            present.sort(
-                key=lambda obj: getattr(obj, attribute), reverse=descending
-            )
-            stats.sort_us = (perf_counter() - t0) * 1e6
-            out = present + absent
-            if plan.limit is not None:
-                out = out[: plan.limit]
-        elif plan.limit != 0:
-            for obj in self._timed_fetch(candidates, stats):
-                t0 = perf_counter()
-                ok = passes(obj)
-                stats.filter_us += (perf_counter() - t0) * 1e6
-                if not ok:
-                    stats.residual_dropped += 1
-                    continue
-                out.append(obj)
-                if plan.limit is not None and len(out) >= plan.limit:
-                    break
+        out = list(self._execute(plan, stats))
 
         stats.returned = len(out)
         stats.page_pins = pins.value - pins0
@@ -726,85 +692,20 @@ class Query:
         stats.total_us = (perf_counter() - total0) * 1e6
         return out, stats
 
-    def _timed_oids(
-        self, oids: Iterator[Oid], stats: ExecutionStats
-    ) -> Iterator[Oid]:
-        """Pass OIDs through, charging generator time to the access stage."""
-        while True:
-            t0 = perf_counter()
-            try:
-                oid = next(oids)
-            except StopIteration:
-                stats.access_us += (perf_counter() - t0) * 1e6
-                return
-            stats.access_us += (perf_counter() - t0) * 1e6
-            stats.candidates += 1
-            yield oid
-
-    def _timed_fetch(
-        self, oids: Iterable[Oid], stats: ExecutionStats
-    ) -> Iterator["Persistent"]:
-        """:meth:`_fetch_stream` with the fetch stage timed and counted."""
-        db = self._db
-        snap = self._ambient_snapshot()
-        if snap is not None:
-            for oid in oids:
-                t0 = perf_counter()
-                obj = snap.fetch_or_none(oid)
-                stats.fetch_us += (perf_counter() - t0) * 1e6
-                if obj is not None:
-                    stats.fetched += 1
-                    yield obj
-            return
-        batch: list[Oid] = []
-        for oid in oids:
-            batch.append(oid)
-            if len(batch) >= _FETCH_CHUNK:
-                t0 = perf_counter()
-                objects = db.fetch_many(batch)
-                stats.fetch_us += (perf_counter() - t0) * 1e6
-                stats.fetched += len(objects)
-                yield from objects
-                batch = []
-        if batch:
-            t0 = perf_counter()
-            objects = db.fetch_many(batch)
-            stats.fetch_us += (perf_counter() - t0) * 1e6
-            stats.fetched += len(objects)
-            yield from objects
-
-    def _residual_passes(self, plan: QueryPlan) -> Callable[[Any], bool]:
-        # Bind the comparator tuples now: generator pipelines evaluate
-        # lazily, so closing over loop variables directly would apply only
-        # the last filter to every stage.
-        attr_filters = [
-            (attribute, _OPS[op], value)
-            for attribute, op, value in plan.residual_filters
-        ]
-        predicates = list(self._predicates)
-
-        def passes(obj: Any) -> bool:
-            for attribute, compare, value in attr_filters:
-                attr_value = getattr(obj, attribute, _MISSING)
-                if attr_value is _MISSING or not compare(attr_value, value):
-                    return False
-            return all(predicate(obj) for predicate in predicates)
-
-        return passes
-
     def _ambient_snapshot(self) -> "Any | None":
         db = self._db
         if db._snapshots_active:
             return db._ambient_snapshot()
         return None
 
-    def _shared_state(self) -> "Any":
+    def _shared_state(self) -> AbstractContextManager[bool]:
         """The database state lock when writers run concurrently, else a
-        no-op context — index-only terminals read trees under it."""
-        db = self._db
-        if db.locking:
-            return db._state_lock
-        return nullcontext()
+        no-op context; entering it gives True only when the lock is held.
+        Planning, candidate generation and index-only terminals read the
+        shared extent sets and index trees under it."""
+        if self._db.locking:
+            return self._db._state_lock
+        return nullcontext(False)
 
     def _effective_passes(self, plan: QueryPlan) -> Callable[[Any], bool]:
         """The residual filter, plus index-filter re-checks under snapshots.
@@ -812,23 +713,30 @@ class Query:
         Index lookups match *current* values, but a snapshot copy carries
         the values as of the snapshot watermark — so inside
         ``with db.snapshot():`` every index-applied comparison (both ends
-        of a two-sided range) is re-applied against the fetched copy.
+        of a two-sided range) is re-applied against the fetched copy,
+        ahead of the residual filters.
         """
-        residual = self._residual_passes(plan)
-        if not plan.index_filters or self._ambient_snapshot() is None:
-            return residual
+        # Bind the comparator tuples now: generator pipelines evaluate
+        # lazily, so closing over loop variables directly would apply only
+        # the last filter to every stage.
         checks = [
-            (choice.attribute, _OPS[op], value)
-            for choice in plan.index_filters
-            for op, value in choice.comparisons
+            (attribute, _OPS[op], value)
+            for attribute, op, value in plan.residual_filters
         ]
+        if plan.index_filters and self._ambient_snapshot() is not None:
+            checks[:0] = [
+                (choice.attribute, _OPS[op], value)
+                for choice in plan.index_filters
+                for op, value in choice.comparisons
+            ]
+        predicates = list(self._predicates)
 
         def passes(obj: Any) -> bool:
             for attribute, compare, value in checks:
                 attr_value = getattr(obj, attribute, _MISSING)
                 if attr_value is _MISSING or not compare(attr_value, value):
                     return False
-            return residual(obj)
+            return all(predicate(obj) for predicate in predicates)
 
         return passes
 
@@ -839,11 +747,9 @@ class Query:
         """Candidate OIDs; eagerly materialized under the state lock when
         concurrent writers may mutate the extents and index trees the lazy
         generators walk."""
-        db = self._db
-        if db.locking:
-            with db._state_lock:
-                return list(self._candidate_oids(plan, self._wanted()))
-        return self._candidate_oids(plan, self._wanted())
+        with self._shared_state() as locked:
+            oids = self._candidate_oids(plan, self._wanted())
+            return list(oids) if locked else oids
 
     def _candidate_oids(
         self, plan: QueryPlan, wanted: set[Oid]
@@ -938,27 +844,37 @@ class Query:
             raise QueryError(f"no index on {self._class_name}.{attribute}")
         return state
 
-    def _fetch_stream(self, oids: Iterable[Oid]) -> Iterator["Persistent"]:
-        """Materialize OIDs in clustered batches, preserving order."""
-        db = self._db
+    def _fetch_stream(
+        self, oids: Iterable[Oid], stats: ExecutionStats | None = None
+    ) -> Iterator["Persistent"]:
+        """Materialize OIDs in clustered batches, preserving order; with
+        ``stats``, each batch (or snapshot fetch) is timed and counted."""
         snap = self._ambient_snapshot()
         if snap is not None:
             # Candidate membership is read-committed: an object created
             # after the snapshot began shows up here but did not exist at
             # the snapshot watermark — fetch_or_none skips it.
+            fetch_one = snap.fetch_or_none
+            if stats is not None:
+                fetch_one = _charge_fetch(
+                    fetch_one, stats, lambda obj: obj is not None
+                )
             for oid in oids:
-                obj = snap.fetch_or_none(oid)
+                obj = fetch_one(oid)
                 if obj is not None:
                     yield obj
             return
+        fetch_many = self._db.fetch_many
+        if stats is not None:
+            fetch_many = _charge_fetch(fetch_many, stats, len)
         batch: list[Oid] = []
         for oid in oids:
             batch.append(oid)
             if len(batch) >= _FETCH_CHUNK:
-                yield from db.fetch_many(batch)
+                yield from fetch_many(batch)
                 batch = []
         if batch:
-            yield from db.fetch_many(batch)
+            yield from fetch_many(batch)
 
     # ------------------------------------------------------------------
     # Terminals
@@ -974,7 +890,7 @@ class Query:
     def one(self) -> "Persistent":
         if self._limit is None:
             # Probe for a second match without mutating the builder.
-            results = list(_take(iter(self), 2))
+            results = list(islice(self, 2))
         else:
             results = self.all()
         if len(results) != 1:
@@ -991,64 +907,64 @@ class Query:
         materializing a single object.
         """
         plan = self._prepare()
-        # Inside a snapshot the index carries *current* values, so the
-        # shortcut would count the wrong world — fall through to the
-        # snapshot-consistent execution path (still lock-free).
-        if plan.index_only and self._ambient_snapshot() is None:
-            self._note_execution(plan)
-            metrics.counter("index_only_answers").inc()
-            with self._shared_state():
-                if not plan.index_filters:
-                    matched = plan.extent_size
-                elif len(plan.index_filters) == 1:
-                    choice = plan.index_filters[0]
-                    state = self._require_state(choice.attribute)
-                    if self._index_covers_extent(state):
-                        # Exact count straight off the B-tree — no OID set,
-                        # no membership re-check.
-                        if choice.op == "==":
-                            matched = state.tree.count_key(choice.value)
-                        else:
-                            matched = state.tree.count_range(*_bounds(choice))
+        if not self._index_answers(plan):
+            return sum(1 for _ in self._rows(plan))
+        with self._shared_state():
+            if not plan.index_filters:
+                matched = plan.extent_size
+            else:
+                choice = plan.index_filters[0]
+                state = self._require_state(choice.attribute)
+                if len(plan.index_filters) == 1 and self._index_covers_extent(state):
+                    # Exact count straight off the B-tree — no OID set, no
+                    # membership re-check.
+                    if choice.op == "==":
+                        matched = state.tree.count_key(choice.value)
                     else:
-                        matched = len(
-                            self._index_candidate_set(plan, self._wanted())
-                        )
+                        matched = state.tree.count_range(*_bounds(choice))
                 else:
-                    matched = len(
-                        self._index_candidate_set(plan, self._wanted())
-                    )
-            return matched if plan.limit is None else min(matched, plan.limit)
-        return sum(1 for _ in self._execute(plan))
+                    matched = len(self._index_candidate_set(plan, self._wanted()))
+        return matched if plan.limit is None else min(matched, plan.limit)
 
     def exists(self) -> bool:
         """True if at least one object matches (index-only when possible)."""
         plan = self._prepare()
         if plan.limit == 0:
             return False
-        if plan.index_only and self._ambient_snapshot() is None:
-            self._note_execution(plan)
-            metrics.counter("index_only_answers").inc()
-            with self._shared_state():
-                if not plan.index_filters:
-                    return plan.extent_size > 0
-                if len(plan.index_filters) == 1:
-                    choice = plan.index_filters[0]
-                    state = self._require_state(choice.attribute)
-                    if self._index_covers_extent(state):
-                        if choice.op == "==":
-                            return state.tree.count_key(choice.value) > 0
-                        for _oid in self._index_oids(choice):
-                            return True
-                        return False
-                    wanted = self._wanted()
-                    return any(
-                        oid in wanted for oid in self._index_oids(choice)
-                    )
+        if not self._index_answers(plan):
+            # The first match answers: a limit of 1 stops the stream there.
+            for _obj in self._rows(replace(plan, limit=1)):
+                return True
+            return False
+        with self._shared_state():
+            if not plan.index_filters:
+                return plan.extent_size > 0
+            if len(plan.index_filters) > 1:
                 return bool(self._index_candidate_set(plan, self._wanted()))
-        for _obj in self._execute(plan):
-            return True
-        return False
+            choice = plan.index_filters[0]
+            state = self._require_state(choice.attribute)
+            if not self._index_covers_extent(state):
+                wanted = self._wanted()
+                return any(oid in wanted for oid in self._index_oids(choice))
+            if choice.op == "==":
+                return state.tree.count_key(choice.value) > 0
+            for _oid in self._index_oids(choice):
+                return True
+            return False
+
+    def _index_answers(self, plan: QueryPlan) -> bool:
+        """Whether ``count()``/``exists()`` answer ``plan`` from the indexes
+        alone; if so, the answer is counted as an execution.
+
+        Inside a snapshot the index carries *current* values, so the
+        shortcut would count the wrong world — those fall through to the
+        snapshot-consistent row path (still lock-free).
+        """
+        if not plan.index_only or self._ambient_snapshot() is not None:
+            return False
+        self._note_execution(plan)
+        metrics.counter("index_only_answers").inc()
+        return True
 
 
 def _bounds(
@@ -1079,8 +995,46 @@ def _tighter(
     return bound if (value < current[1]) == (op in ("<", "<=")) else current
 
 
-def _take(items: Iterator[Any], count: int) -> Iterator[Any]:
-    for i, item in enumerate(items):
-        if i >= count:
-            return
-        yield item
+def _timed_oids(oids: Iterable[Oid], stats: ExecutionStats) -> Iterator[Oid]:
+    """Pass OIDs through, charging generator time to the access stage."""
+    t0 = perf_counter()
+    for oid in oids:
+        stats.access_us += (perf_counter() - t0) * 1e6
+        stats.candidates += 1
+        yield oid
+        t0 = perf_counter()
+    stats.access_us += (perf_counter() - t0) * 1e6
+
+
+def _timed_filter(
+    passes: Callable[[Any], bool], stats: ExecutionStats
+) -> Callable[[Any], bool]:
+    """``passes`` charging its time and its rejections to the filter stage."""
+
+    def timed(obj: Any) -> bool:
+        t0 = perf_counter()
+        ok = passes(obj)
+        stats.filter_us += (perf_counter() - t0) * 1e6
+        if not ok:
+            stats.residual_dropped += 1
+        return ok
+
+    return timed
+
+
+def _charge_fetch(
+    fetch: Callable[[Any], Any],
+    stats: ExecutionStats,
+    count: Callable[[Any], int],
+) -> Callable[[Any], Any]:
+    """``fetch`` charging its time and the ``count`` of objects it returned
+    to the fetch stage."""
+
+    def timed(arg: Any) -> Any:
+        t0 = perf_counter()
+        out = fetch(arg)
+        stats.fetch_us += (perf_counter() - t0) * 1e6
+        stats.fetched += count(out)
+        return out
+
+    return timed

@@ -261,6 +261,58 @@ class TestEngineHooks:
         assert entry["plan"]["plan"]["class_name"] == "Row"
         assert entry["plan"]["actual"]["returned"] == 5
 
+    @pytest.mark.parametrize(
+        "terminal, expected",
+        [
+            ("count_in_snapshot", 10),
+            ("count_with_residual", 5),
+            ("exists_with_residual", True),
+        ],
+    )
+    def test_count_and_exists_row_fallbacks_profiled(
+        self, tmp_path, terminal, expected
+    ):
+        """count()/exists() that cannot answer from an index run the rows
+        through the same profiled path as iteration."""
+        from repro.oodb.database import Database
+        from repro.oodb.query import AnalyzedPlan
+        from repro.oodb.schema import Persistent
+
+        class Row(Persistent):
+            def __init__(self, n=0):
+                super().__init__()
+                self.n = n
+
+        path = str(tmp_path / "s.jsonl")
+        db = Database(str(tmp_path / "db"), profile_queries=True)
+        try:
+            with db.transaction():
+                for i in range(10):
+                    db.add(Row(i))
+            slow_op_log.open(path, slow_query_us=0.0)
+            try:
+                if terminal == "count_in_snapshot":
+                    with db.snapshot():
+                        result = db.query(Row).count()
+                elif terminal == "count_with_residual":
+                    result = db.query(Row).where(lambda r: r.n >= 5).count()
+                else:
+                    result = db.query(Row).where(lambda r: r.n >= 5).exists()
+            finally:
+                slow_op_log.close()
+                slow_op_log.reset_thresholds()
+            profile = db.last_query_profile
+        finally:
+            db.close()
+        assert result == expected
+        (entry,) = [e for e in _entries(path) if e["kind"] == "query"]
+        assert entry["class"] == "Row"
+        assert isinstance(profile, AnalyzedPlan)
+        assert entry["plan"] == profile.to_json()
+        returned = 1 if terminal.startswith("exists") else expected
+        assert profile.stats.returned == returned
+        assert entry["rows"] == returned
+
     def test_long_txn_logged(self, tmp_path):
         from repro.oodb.database import Database
         from repro.oodb.schema import Persistent
