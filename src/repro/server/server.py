@@ -44,6 +44,7 @@ Endpoints (see :mod:`repro.server.protocol` for the envelope):
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -114,6 +115,14 @@ class RuleServer:
             def do_POST(self) -> None:  # noqa: N802 - http.server API
                 server._dispatch(self, "POST")
 
+            def setup(self) -> None:
+                super().setup()
+                server._track(self.connection)
+
+            def finish(self) -> None:
+                server._untrack(self.connection)
+                super().finish()
+
             def log_message(self, *args: Any) -> None:
                 pass  # keep the engine's stdout clean
 
@@ -121,6 +130,12 @@ class RuleServer:
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._pushed = False
+        # Open connections and requests being answered, so stop() can
+        # let those requests finish and then hang up on every client.
+        self._state = threading.Condition()
+        self._connections: set[socket.socket] = set()
+        self._in_flight = 0
+        self._closing = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -152,7 +167,21 @@ class RuleServer:
         return self
 
     def stop(self) -> None:
-        self._httpd.shutdown()
+        """Stop serving: no request is dispatched after this returns.
+
+        Requests already being answered get up to 5 s to finish; then
+        every open keep-alive connection is shut down, so a client that
+        still holds one sees the connection drop rather than a request
+        served against a closed database.
+        """
+        if self._thread is not None:
+            self._httpd.shutdown()
+        with self._state:
+            self._closing = True
+            self._state.wait_for(lambda: self._in_flight == 0, timeout=5.0)
+            connections = list(self._connections)
+        for connection in connections:
+            _hang_up(connection)
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -170,13 +199,44 @@ class RuleServer:
     # ------------------------------------------------------------------
     # Request plumbing
     # ------------------------------------------------------------------
+    def _track(self, connection: socket.socket) -> None:
+        with self._state:
+            if not self._closing:
+                self._connections.add(connection)
+                return
+        _hang_up(connection)
+
+    def _untrack(self, connection: socket.socket) -> None:
+        with self._state:
+            self._connections.discard(connection)
+
     def _dispatch(self, handler: BaseHTTPRequestHandler, method: str) -> None:
+        with self._state:
+            if self._closing:
+                handler.close_connection = True
+                return
+            self._in_flight += 1
+        try:
+            self._respond(handler, method)
+        finally:
+            with self._state:
+                self._in_flight -= 1
+                if self._closing:
+                    self._state.notify_all()
+
+    def _respond(self, handler: BaseHTTPRequestHandler, method: str) -> None:
         started = perf_counter()
         parts = urlsplit(handler.path)
-        route = f"{method} {parts.path}"
+        # A body left unread would be parsed as the next request on this
+        # keep-alive connection, so every path that skips it hangs up.
+        unread = _declares_body(handler)
         body: bytes | None = None
         try:
-            status, payload = self._route(handler, method, parts.path, parts.query)
+            raw = b""
+            if method == "POST":
+                raw = self._read_body(handler)
+                unread = False
+            status, payload = self._route(method, parts.path, parts.query, raw)
             # Encoding is part of answering: a value json cannot encode
             # becomes a counted 500 rather than a dropped connection.
             body = _encode(payload)
@@ -199,6 +259,9 @@ class RuleServer:
         if body is None:
             body = _encode(payload)
         handler.send_response(status)
+        if unread:
+            handler.close_connection = True
+            handler.send_header("Connection", "close")
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(body)))
         handler.end_headers()
@@ -209,14 +272,9 @@ class RuleServer:
         metrics.histogram("server_request_us").record(
             (perf_counter() - started) * 1e6
         )
-        del route  # kept for symmetry with future per-route metrics
 
     def _route(
-        self,
-        handler: BaseHTTPRequestHandler,
-        method: str,
-        path: str,
-        query: str,
+        self, method: str, path: str, query: str, raw: bytes
     ) -> tuple[int, dict[str, Any]]:
         if method == "GET":
             if path == "/ping":
@@ -226,7 +284,7 @@ class RuleServer:
             if path == "/object":
                 return 200, self._get_object(query)
             raise ProtocolError(404, "not_found", f"no route {path!r}")
-        body = read_json_body(self._read_body(handler))
+        body = read_json_body(raw)
         if path == "/query":
             return 200, self._query(body, count_only=False)
         if path == "/count":
@@ -242,6 +300,10 @@ class RuleServer:
         raise ProtocolError(404, "not_found", f"no route {path!r}")
 
     def _read_body(self, handler: BaseHTTPRequestHandler) -> bytes:
+        if "Transfer-Encoding" in handler.headers:
+            raise ProtocolError(
+                400, "bad_request", "send a Content-Length body, not chunked"
+            )
         raw_length = handler.headers.get("Content-Length") or "0"
         try:
             length = int(raw_length)
@@ -406,3 +468,16 @@ class RuleServer:
 
 def _encode(payload: dict[str, Any]) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
+
+
+def _declares_body(handler: BaseHTTPRequestHandler) -> bool:
+    headers = handler.headers
+    return headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in headers
+
+
+def _hang_up(connection: socket.socket) -> None:
+    """Shut a client connection down; its handler thread sees EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already gone

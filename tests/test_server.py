@@ -4,12 +4,17 @@ A real ``RuleServer`` on an ephemeral port, a real ``RuleClient`` over
 HTTP — no mocked sockets.  Covers the JSON protocol surface (create /
 get / update / query / count / invoke / delete / ping / stats), the
 error mapping (404 / 400 / 409), class-level ECA rules firing on the
-serving thread for client-caused events, and concurrent clients writing
-through one server.
+serving thread for client-caused events, concurrent clients writing
+through one server, and the keep-alive transport: connection reuse and
+resends in the client, request framing and shutdown in the server.
 """
 
 from __future__ import annotations
 
+import http.client
+import io
+import re
+import socket
 import threading
 from contextlib import nullcontext
 from datetime import datetime
@@ -64,14 +69,37 @@ class Stamp(Persistent, registry=registry):
 
 
 @pytest.fixture
-def served(tmp_path):
+def running(tmp_path):
     RESTOCKS.clear()
     db = Database(str(tmp_path / "db"), registry=registry, locking=True)
     system = Sentinel(db=db, adopt_class_rules=False)
     with system:
         with RuleServer(system) as server:
-            yield system, RuleClient(server.url)
+            yield system, server
     system.close()
+
+
+@pytest.fixture
+def served(running):
+    system, server = running
+    with RuleClient(server.url) as client:
+        yield system, client
+
+
+@pytest.fixture
+def accepts(running, monkeypatch):
+    """Client addresses of the connections the server accepts."""
+    _system, server = running
+    httpd = server._httpd
+    seen: list = []
+    accept = httpd.process_request
+
+    def counting(request, client_address):
+        seen.append(client_address)
+        return accept(request, client_address)
+
+    monkeypatch.setattr(httpd, "process_request", counting)
+    return seen
 
 
 class TestRoundTrip:
@@ -226,10 +254,10 @@ class TestConcurrentClients:
         errors: list[BaseException] = []
 
         def hammer(idx: int) -> None:
-            own = RuleClient(client.url)
             try:
-                for _ in range(per_client):
-                    own.invoke(oids[idx], "restock", 1)
+                with RuleClient(client.url) as own:
+                    for _ in range(per_client):
+                        own.invoke(oids[idx], "restock", 1)
             except BaseException as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -245,3 +273,198 @@ class TestConcurrentClients:
         for oid in oids:
             assert client.get(oid)["attrs"]["qty"] == per_client
         assert len(RESTOCKS) == 4 * per_client
+
+
+def _drop_reply(monkeypatch, times: int = 1) -> list:
+    """Make the server handle the next ``times`` requests in full but
+    hang up instead of sending each reply; returns the paths dropped."""
+    respond = RuleServer._respond
+    dropped: list = []
+
+    def respond_then_drop(self, handler, method):
+        if len(dropped) >= times:
+            return respond(self, handler, method)
+        dropped.append(handler.path)
+        wfile, handler.wfile = handler.wfile, io.BytesIO()
+        try:
+            respond(self, handler, method)
+        finally:
+            handler.wfile = wfile
+        handler.close_connection = True
+
+    monkeypatch.setattr(RuleServer, "_respond", respond_then_drop)
+    return dropped
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket; everything read until the
+    server closes (or 5 s pass)."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except (socket.timeout, ConnectionResetError):
+            pass
+    return b"".join(chunks)
+
+
+def _only_reply(reply: bytes) -> bytes:
+    """The head of the single response in ``reply``: it must announce
+    ``Connection: close``, and nothing may follow its body."""
+    head, _, rest = reply.partition(b"\r\n\r\n")
+    length = re.search(rb"Content-Length: (\d+)", head)
+    assert length is not None
+    assert rest[int(length.group(1)):] == b""
+    assert b"Connection: close" in head
+    return head
+
+
+class TestKeepAlive:
+    def test_one_client_uses_one_connection(self, served, accepts):
+        _system, client = served
+        oid = client.create("Item", name="widget", qty=0)
+        for i in range(49):
+            if i % 2:
+                client.get(oid)
+            else:
+                client.invoke(oid, "restock", 1)
+        assert len(accepts) == 1
+
+    def test_shared_client_opens_at_most_one_connection_per_thread(
+        self, served, accepts
+    ):
+        _system, client = served
+        oid = client.create("Item", name="widget", qty=0)
+        errors: list[BaseException] = []
+
+        def reader() -> None:
+            try:
+                for _ in range(25):
+                    assert client.get(oid)["attrs"]["name"] == "widget"
+                    assert client.count("Item") == 1
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert 1 <= len(accepts) <= 4
+        assert len(client._idle) <= 4
+
+    def test_error_answers_leave_the_connection_reusable(
+        self, served, accepts, monkeypatch
+    ):
+        _system, client = served
+        with pytest.raises(ServerError) as err:
+            client.get(999_999)
+        assert err.value.status == 404
+        with pytest.raises(ServerError) as err:
+            client.create("Ghost")
+        assert err.value.status == 400
+        monkeypatch.setattr(
+            RuleServer, "_stats", lambda self: {"ok": True, "odd": {1, 2}}
+        )
+        with pytest.raises(ServerError) as err:
+            client.stats()
+        assert err.value.status == 500
+        assert client.ping()["ok"] is True
+        assert len(accepts) == 1
+
+    def test_get_dropped_on_a_reused_connection_is_resent_once(
+        self, served, accepts, monkeypatch
+    ):
+        _system, client = served
+        oid = client.create("Item", name="widget", qty=4)
+        dropped = _drop_reply(monkeypatch)
+        assert client.get(oid)["attrs"]["qty"] == 4
+        assert dropped == [f"/object?oid={oid}"]
+        assert len(accepts) == 2
+
+    def test_resend_happens_at_most_once(self, served, accepts, monkeypatch):
+        _system, client = served
+        client.ping()
+        dropped = _drop_reply(monkeypatch, times=2)
+        with pytest.raises(ConnectionError):
+            client.ping()
+        assert dropped == ["/ping", "/ping"]
+        assert len(accepts) == 2
+
+    def test_sent_post_is_not_resent(self, served, accepts, monkeypatch):
+        _system, client = served
+        oid = client.create("Item", name="widget", qty=1)
+        dropped = _drop_reply(monkeypatch)
+        with pytest.raises(ConnectionError):
+            client.invoke(oid, "restock", 5)
+        assert dropped == ["/invoke"]
+        # The dropped reply's deposit landed once, and only once.
+        assert RESTOCKS == [5]
+        assert client.get(oid)["attrs"]["qty"] == 6
+        assert len(accepts) == 2
+
+    def test_close_drops_idle_connections_and_client_stays_usable(
+        self, running, accepts
+    ):
+        _system, server = running
+        with RuleClient(server.url) as client:
+            client.ping()
+            assert len(client._idle) == 1
+        assert client._idle == []
+        assert client.ping()["ok"] is True
+        assert len(accepts) == 2
+        client.close()
+
+
+class TestRequestFraming:
+    """A body the server does not read must not become the next request
+    on a keep-alive connection."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /count HTTP/1.1\r\nContent-Length: 2000000\r\n", 400),
+            (b"POST /count HTTP/1.1\r\nContent-Length: ten\r\n", 400),
+            (b"POST /count HTTP/1.1\r\nTransfer-Encoding: chunked\r\n", 400),
+            (b"GET /ping HTTP/1.1\r\nContent-Length: 32\r\n", 200),
+        ],
+        ids=["oversized", "bad-length", "chunked", "get-with-body"],
+    )
+    def test_unread_body_closes_the_connection(self, running, head, status):
+        _system, server = running
+        # The unread body is itself a well-formed request.
+        smuggled = b"GET /stats HTTP/1.1\r\nHost: x\r\n\r\n"
+        reply = _raw_exchange(server.port, head + b"\r\n" + smuggled)
+        assert _only_reply(reply).startswith(b"HTTP/1.1 %d " % status)
+
+
+class TestStop:
+    def test_stop_hangs_up_open_keep_alive_connections(self, running):
+        system, server = running
+        with RuleClient(server.url) as client:
+            oid = client.create("Item", name="widget")
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.request("GET", f"/object?oid={oid}")
+            assert conn.getresponse().read()
+            server.stop()
+            system.close()
+            # Not dispatched against the closed database: the server
+            # hung up on the connection when it stopped.
+            with pytest.raises((ConnectionError, http.client.HTTPException)):
+                conn.request("GET", f"/object?oid={oid}")
+                conn.getresponse()
+        finally:
+            conn.close()
+
+    def test_client_after_stop_sees_a_refused_connection(self, running):
+        _system, server = running
+        with RuleClient(server.url) as client:
+            client.ping()
+            server.stop()
+            with pytest.raises(OSError):
+                client.ping()
